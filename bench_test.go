@@ -248,6 +248,79 @@ func BenchmarkBLProfiler(b *testing.B) {
 	})
 }
 
+// gccProfilers runs gcc's training input once under each path
+// profiler, batched as profile.Train and profile.TrainBL run them, and
+// returns the live profilers ready to freeze.
+func gccProfilers(b *testing.B) (*ir.Program, *profile.PathProfiler, *profile.BLProfiler) {
+	b.Helper()
+	bm := bench.ByName("gcc")
+	prog := bm.Build(bm.Train)
+	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
+	if _, err := interp.Run(prog, interp.Config{Batch: pp}); err != nil {
+		b.Fatal(err)
+	}
+	bl := profile.NewBLProfiler(prog, profile.BLConfig{})
+	if _, err := interp.Run(prog, interp.Config{Batch: bl}); err != nil {
+		b.Fatal(err)
+	}
+	return prog, pp, bl
+}
+
+// BenchmarkProfileFreeze measures freezing gcc's training profile into
+// the queryable PathProfile, for both profilers.
+func BenchmarkProfileFreeze(b *testing.B) {
+	_, pp, bl := gccProfilers(b)
+	b.Run("window", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pp.Profile()
+		}
+	})
+	b.Run("bl", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bl.Profile()
+		}
+	})
+}
+
+// BenchmarkProfileMostLikelySucc measures formation's successor query
+// on a freshly frozen gcc training profile (the freeze itself is not
+// timed). The query set grows each executed block greedily along its
+// most likely successors, trimming to depth the way core.Form does.
+func BenchmarkProfileMostLikelySucc(b *testing.B) {
+	prog, pp, _ := gccProfilers(b)
+	type query struct {
+		p   ir.ProcID
+		seq []ir.BlockID
+	}
+	var queries []query
+	pf := pp.Profile()
+	for _, p := range prog.Procs {
+		for _, blk := range pf.BlocksByFreq(p.ID) {
+			seq := []ir.BlockID{blk}
+			for step := 0; step < 16; step++ {
+				queries = append(queries, query{p.ID, seq})
+				s, _ := pf.MostLikelyPathSuccessor(p.ID, seq)
+				if s == ir.NoBlock {
+					break
+				}
+				seq = pf.TrimToDepth(p.ID, append(append([]ir.BlockID{}, seq...), s))
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pf := pp.Profile()
+		b.StartTimer()
+		for _, q := range queries {
+			pf.MostLikelyPathSuccessor(q.p, q.seq)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/query")
+}
+
 // BenchmarkFormation measures the form pass alone under both methods.
 func BenchmarkFormation(b *testing.B) {
 	bm := bench.ByName("gcc")

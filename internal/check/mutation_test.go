@@ -375,6 +375,35 @@ func TestMutationPathCountInflated(t *testing.T) {
 	}
 }
 
+// Mutation 9b: inflate a two-block window. Every longer path through
+// that pair stays within its first edge, but the pair's head block now
+// has extensions summing to more than the block itself ran.
+func TestMutationPathExtensionsExceed(t *testing.T) {
+	prog := mutProg()
+	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
+	if _, err := interp.Run(prog, interp.Config{Observer: pp}); err != nil {
+		t.Fatal(err)
+	}
+	text := pp.WriteText()
+	re := regexp.MustCompile(`path (\d+): (b\d+ b\d+)\n`)
+	m := re.FindStringSubmatch(text)
+	if m == nil {
+		t.Fatal("no two-block window in serialized profile")
+	}
+	n, _ := strconv.ParseInt(m[1], 10, 64)
+	corrupted := strings.Replace(text, m[0],
+		"path "+strconv.FormatInt(n*1000000, 10)+": "+m[2]+"\n", 1)
+	bad, err := profile.ParsePathProfile(prog, corrupted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := check.PathFlow(prog, bad, nil)
+	v := requireViolation(t, vs, "extensions sum to")
+	if v.Proc != "main" {
+		t.Fatalf("violation names proc %q, want main", v.Proc)
+	}
+}
+
 // The stage stamp: Err renders stage, proc, block, and instruction so
 // a pipeline failure names where to look.
 func TestViolationRendering(t *testing.T) {

@@ -634,34 +634,27 @@ func (bl *BLProfiler) BatchStats() (batches, records int64) {
 // slides over it. Only windows ending inside the tuple's *last* path
 // are counted — every executed block of a completed activation lies in
 // the last path of exactly one recorded tuple, so no window is counted
-// twice. Each window adds its count to every suffix, the same
-// construction Profile uses, so all PathProfile queries (and the
-// PathFlow bounds) behave identically.
+// twice. Each window goes into the same suffix trie the window
+// profiler freezes into, so all PathProfile queries (and the PathFlow
+// bounds) behave identically.
 func (bl *BLProfiler) Profile() *PathProfile {
 	cfg := PathConfig{Depth: bl.cfg.Depth, MaxBlocks: bl.cfg.MaxBlocks}
 	out := &PathProfile{cfg: cfg, procs: make([]*procPathIndex, len(bl.procs))}
+	var blocks []ir.BlockID
 	for i, st := range bl.procs {
-		// Stage 1: aggregate. Overlapping tuples from the same loop keep
-		// producing the same few maximal windows, so collapse the
-		// (#tuples × end positions) window instances into distinct
-		// window contents first. Keys are substrings of each tuple's one
-		// concatenation key (4 fixed bytes per block), so this stage
-		// allocates one string per counted tuple, not per window.
-		maxw := map[string]int64{}
-		var blocks []ir.BlockID
+		t := newTrieBuilder(st.condBr)
 		for _, nd := range st.nodesList {
 			if nd.count == 0 {
 				continue
 			}
 			blocks = blocks[:0]
 			lastStart := 0
-			for t, id := range nd.seq {
-				if t == len(nd.seq)-1 {
+			for k, id := range nd.seq {
+				if k == len(nd.seq)-1 {
 					lastStart = len(blocks)
 				}
 				blocks, _ = st.appendPath(blocks, id)
 			}
-			key := seqKey(blocks)
 			start, branches := 0, 0
 			for e := 0; e < len(blocks); e++ {
 				if st.condBr[blocks[e]] {
@@ -673,34 +666,12 @@ func (bl *BLProfiler) Profile() *PathProfile {
 					}
 					start++
 				}
-				if e < lastStart {
-					continue
+				if e >= lastStart {
+					t.add(blocks[start:e+1], nd.count)
 				}
-				maxw[key[4*start:4*(e+1)]] += nd.count
 			}
 		}
-
-		// Stage 2: sweep, exactly as the window profiler's freeze does —
-		// each distinct maximal window sliced per suffix, so suffixes
-		// shared between windows aggregate in the map and nothing
-		// allocates per-suffix strings.
-		var nsuf int
-		for wk := range maxw { //lint:ordered — commutative size sum
-			nsuf += len(wk) / 4
-		}
-		idx := &procPathIndex{
-			condBr: st.condBr,
-			freq:   make(map[string]int64, nsuf),
-		}
-		// Every visit order produces the same freq table: += into a map.
-		for wk, n := range maxw { //lint:ordered
-			for s := 0; s < len(wk); s += 4 {
-				idx.freq[wk[s:]] += n
-			}
-			idx.windows += n
-			idx.distinct++
-		}
-		out.procs[i] = idx
+		out.procs[i] = t.x
 	}
 	return out
 }

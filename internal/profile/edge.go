@@ -206,7 +206,7 @@ func (e *EdgeProfile) ForEachPred(p ir.ProcID, b ir.BlockID, fn func(from ir.Blo
 
 // listArgmax returns the id with the largest positive count (ties
 // toward the smallest id), or (NoBlock, 0) when every count is zero:
-// the same contract as the map-based argmax used for path queries.
+// the same contract as PathProfile.MostLikelyPathSuccessor.
 func listArgmax(ids []ir.BlockID, ns []int64) (ir.BlockID, int64) {
 	best, bestN := ir.NoBlock, int64(0)
 	for k, id := range ids {

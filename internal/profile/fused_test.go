@@ -129,18 +129,7 @@ func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 	if got, want := tp.Edge.WriteText(), lep.Profile().WriteText(); got != want {
 		t.Fatalf("%s: Train edge profile differs from legacy", name)
 	}
-	lpf := lpp.Profile()
-	for p := 0; p < tp.Path.NumProcs(); p++ {
-		pid := ir.ProcID(p)
-		if !reflect.DeepEqual(tp.Path.procs[p].freq, lpf.procs[p].freq) {
-			t.Fatalf("%s: proc %d: Train path index differs from legacy", name, p)
-		}
-		gw, gd := tp.Path.Windows(pid)
-		ww, wd := lpf.Windows(pid)
-		if gw != ww || gd != wd {
-			t.Fatalf("%s: proc %d: windows (%d,%d) != legacy (%d,%d)", name, p, gw, gd, ww, wd)
-		}
-	}
+	requireSameProfiles(t, name+": Train vs legacy", tp.Path, lpp.Profile())
 	if !reflect.DeepEqual(tp.Calls, lcg.Counts()) {
 		t.Fatalf("%s: Train calls = %v, legacy = %v", name, tp.Calls, lcg.Counts())
 	}

@@ -1,8 +1,8 @@
 package profile
 
 import (
+	"math/bits"
 	"sort"
-	"sync"
 
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
@@ -81,8 +81,7 @@ type procPaths struct {
 	rootsM  map[ir.BlockID]*pathNode // fallback mode
 	intern  map[uint64][]*pathNode   // seqHash → bucket
 	// nodesList holds every interned node in creation order; freezing
-	// and serialization sort it by seqKey to preserve the exact
-	// iteration order of the historical string-keyed intern table.
+	// walks it as is, serialization sorts it (see sortedNodes).
 	nodesList []*pathNode
 	nodes     int // total distinct nodes, for overhead statistics
 }
@@ -409,23 +408,21 @@ func seqEqual(a, b []ir.BlockID) bool {
 	return true
 }
 
-// keyedNode pairs an interned node with its seqKey string for
-// freeze-time sorting.
-type keyedNode struct {
-	key string
-	nd  *pathNode
-}
-
-// sortedNodes returns every interned node with its seqKey, sorted by
-// key — exactly the iteration order the historical string-keyed intern
-// table gave Profile and WriteText, preserved so frozen profiles and
-// serialized bytes are unchanged by the hashed intern table.
-func (st *procPaths) sortedNodes() []keyedNode {
-	out := make([]keyedNode, len(st.nodesList))
-	for i, nd := range st.nodesList {
-		out[i] = keyedNode{seqKey(nd.seq), nd}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+// sortedNodes returns every interned node in the order WriteText has
+// always listed windows: by their 4-byte little-endian encodings
+// compared as byte strings — block by block, each id ordered by its
+// low byte first, and a window before its extensions.
+func (st *procPaths) sortedNodes() []*pathNode {
+	out := append([]*pathNode(nil), st.nodesList...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].seq, out[j].seq
+		for k := 0; k < len(a) && k < len(b); k++ {
+			if a[k] != b[k] {
+				return bits.ReverseBytes32(uint32(a[k])) < bits.ReverseBytes32(uint32(b[k]))
+			}
+		}
+		return len(a) < len(b)
+	})
 	return out
 }
 
@@ -464,95 +461,26 @@ func (pp *PathProfiler) BatchStats() (batches, records int64) {
 	return pp.batches, pp.batchRecs
 }
 
-// Profile freezes the gathered data into a queryable PathProfile,
-// building the per-procedure suffix index: every recorded window
-// contributes its count to each of its suffixes, so Freq answers exact
-// dynamic occurrence counts for any sequence within the profiled depth.
+// Profile freezes the gathered data into a queryable PathProfile: each
+// recorded window adds its count to every one of its suffixes in the
+// procedure's trie, so Freq answers exact dynamic occurrence counts for
+// any sequence within the profiled depth.
 func (pp *PathProfiler) Profile() *PathProfile {
 	out := &PathProfile{cfg: pp.cfg, procs: make([]*procPathIndex, len(pp.procs))}
 	for i, st := range pp.procs {
-		// Presize the suffix index: counted nodes contribute one freq
-		// entry per suffix (suffixes of distinct windows collide, so
-		// this is an upper bound that avoids growth rehashing).
-		var nsuf int
+		t := newTrieBuilder(st.condBr)
 		for _, nd := range st.nodesList {
-			if nd.count != 0 {
-				nsuf += len(nd.seq)
-			}
+			t.add(nd.seq, nd.count)
 		}
-		idx := &procPathIndex{
-			condBr: st.condBr,
-			freq:   make(map[string]int64, nsuf),
-		}
-		// A suffix's key is a substring of the whole window's key (4
-		// fixed bytes per block), so each node's key is built once and
-		// sliced — freezing allocates no per-suffix key strings. Node
-		// order doesn't matter: the index is a pair of maps whose final
-		// contents are order-independent sums.
-		for _, n := range st.nodesList {
-			if n.count == 0 {
-				continue
-			}
-			key := seqKey(n.seq)
-			for s := 0; s < len(key); s += 4 {
-				idx.freq[key[s:]] += n.count
-			}
-			idx.windows += n.count
-			idx.distinct++
-		}
-		out.procs[i] = idx
+		out.procs[i] = t.x
 	}
 	return out
 }
 
-// procPathIndex is the frozen per-procedure query structure. succs is
-// derived lazily from freq on the first successor query (succIndex):
-// training runs freeze profiles they may never ask successor queries
-// of, and the derivation is pure, so deferring it keeps the profiling
-// phase lean without changing any query result.
-type procPathIndex struct {
-	condBr   []bool
-	freq     map[string]int64
-	succOnce sync.Once
-	succs    map[string]map[ir.BlockID]int64
-	windows  int64 // total windows recorded (= dynamic blocks observed)
-	distinct int   // distinct windows
-}
-
-// succIndex builds (once) and returns the successor index: for each
-// sequence head, the frequency of every observed one-block extension.
-// It is fully determined by freq — every indexed sequence of length
-// ≥ 2 extends its own head by its own last block with exactly its own
-// frequency — so the build touches each distinct suffix once. The
-// sync.Once keeps frozen profiles safe for concurrent queries (the
-// parallel pipeline shares them across goroutines).
-func (idx *procPathIndex) succIndex() map[string]map[ir.BlockID]int64 {
-	idx.succOnce.Do(func() {
-		succs := make(map[string]map[ir.BlockID]int64, len(idx.freq))
-		// Map-to-map += accumulation: any visit order builds the same index.
-		for k, n := range idx.freq { //lint:ordered
-			if len(k) < 8 {
-				continue
-			}
-			hk := k[:len(k)-4]
-			last := ir.BlockID(uint32(k[len(k)-4]) | uint32(k[len(k)-3])<<8 |
-				uint32(k[len(k)-2])<<16 | uint32(k[len(k)-1])<<24)
-			sm := succs[hk]
-			if sm == nil {
-				sm = map[ir.BlockID]int64{}
-				succs[hk] = sm
-			}
-			sm[last] = n
-		}
-		idx.succs = succs
-	})
-	return idx.succs
-}
-
 // PathProfile answers exact path-frequency queries (paper §2.2). A
-// frozen profile is immutable: every method only reads the suffix
-// index, so one profile may serve any number of goroutines at once
-// (the parallel pipeline relies on this).
+// frozen profile is immutable: every method only reads the tries, so
+// one profile may serve any number of goroutines at once (the parallel
+// pipeline relies on this).
 type PathProfile struct {
 	cfg   PathConfig
 	procs []*procPathIndex
@@ -576,71 +504,13 @@ func (pf *PathProfile) CrossActivation() bool { return pf.cfg.CrossActivation }
 // NumProcs returns the number of procedures the profile covers.
 func (pf *PathProfile) NumProcs() int { return len(pf.procs) }
 
-// ForEachSeq calls fn for every indexed block sequence of procedure p
-// with its exact occurrence count, in unspecified order. The slice
-// passed to fn is freshly allocated per call and may be retained.
-func (pf *PathProfile) ForEachSeq(p ir.ProcID, fn func(seq []ir.BlockID, n int64)) {
-	if int(p) >= len(pf.procs) {
-		return
-	}
-	for k, n := range pf.procs[p].freq { //lint:ordered — unordered sweep is the documented contract
-		fn(decodeSeqKey(k), n)
-	}
-}
-
-// ForEachSeqKey is ForEachSeq over the raw interned keys: no decoding,
-// no per-call allocation. A key encodes its sequence as 4 bytes per
-// block, so key[i*4:(i+2)*4] is the key of the i-th adjacent pair and
-// FreqKey answers subsequence queries with zero-allocation substrings.
-// Bulk consumers (the profile-consistency checker sweeps every indexed
-// sequence of every procedure) need this; everything else should stay
-// on the decoded API.
-func (pf *PathProfile) ForEachSeqKey(p ir.ProcID, fn func(key string, n int64)) {
-	if int(p) >= len(pf.procs) {
-		return
-	}
-	for k, n := range pf.procs[p].freq { //lint:ordered — unordered sweep is the documented contract
-		fn(k, n)
-	}
-}
-
-// NumSeqs returns the number of distinct indexed sequences of
-// procedure p — the number of calls a ForEachSeqKey sweep will make.
-func (pf *PathProfile) NumSeqs(p ir.ProcID) int {
-	if int(p) >= len(pf.procs) {
-		return 0
-	}
-	return len(pf.procs[p].freq)
-}
-
-// FreqKey is Freq for a raw key (see ForEachSeqKey).
-func (pf *PathProfile) FreqKey(p ir.ProcID, key string) int64 {
-	return pf.procs[p].freq[key]
-}
-
-// SuccTotalKey returns the summed frequency of all one-block
-// extensions of the sequence encoded by key.
-func (pf *PathProfile) SuccTotalKey(p ir.ProcID, key string) int64 {
-	var total int64
-	for _, n := range pf.procs[p].succIndex()[key] { //lint:ordered — commutative sum
-		total += n
-	}
-	return total
-}
-
-// DecodeKey decodes a raw key (see ForEachSeqKey) back into its block
-// sequence.
-func DecodeKey(key string) []ir.BlockID { return decodeSeqKey(key) }
-
 // Freq returns the exact number of times the contiguous block sequence
 // seq executed in procedure p, provided seq fits within the profiling
 // depth (use TrimToDepth first for longer sequences). Sequences beyond
 // the profiled depth return 0.
 func (pf *PathProfile) Freq(p ir.ProcID, seq []ir.BlockID) int64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	return pf.procs[p].freq[seqKey(seq)]
+	x := pf.procs[p]
+	return x.count[x.find(seq)]
 }
 
 // BlockFreq returns the execution count of a single block.
@@ -659,7 +529,14 @@ func (pf *PathProfile) EdgeFreq(p ir.ProcID, from, to ir.BlockID) int64 {
 // after seq, the count of seq·s. The caller must pass a sequence
 // already within depth.
 func (pf *PathProfile) SuccFreqs(p ir.ProcID, seq []ir.BlockID) map[ir.BlockID]int64 {
-	return pf.procs[p].succIndex()[seqKey(seq)]
+	x := pf.procs[p]
+	out := map[ir.BlockID]int64{}
+	for c := x.child[x.find(seq)]; c != 0; c = x.next[c] {
+		if x.count[c] > 0 {
+			out[x.block[c]] = x.count[c]
+		}
+	}
+	return out
 }
 
 // MostLikelyPathSuccessor implements the paper's Figure 2 primitive:
@@ -667,7 +544,14 @@ func (pf *PathProfile) SuccFreqs(p ir.ProcID, seq []ir.BlockID) map[ir.BlockID]i
 // Returns (NoBlock, 0) when seq was never extended. Ties break toward
 // the smallest block id for determinism.
 func (pf *PathProfile) MostLikelyPathSuccessor(p ir.ProcID, seq []ir.BlockID) (ir.BlockID, int64) {
-	return argmax(pf.SuccFreqs(p, seq))
+	x := pf.procs[p]
+	best, bestN := ir.NoBlock, int64(0)
+	for c := x.child[x.find(seq)]; c != 0; c = x.next[c] {
+		if n := x.count[c]; n > bestN || (n == bestN && n > 0 && x.block[c] < best) {
+			best, bestN = x.block[c], n
+		}
+	}
+	return best, bestN
 }
 
 // TrimToDepth returns the longest suffix of seq whose conditional

@@ -15,13 +15,13 @@
 // lazily, and each node keeps successor pointers, so steady-state
 // profiling does O(1) amortized work per executed edge — the same
 // asymptotic overhead as edge profiling. Exact frequencies for shorter
-// sequences are recovered offline by summing each recorded window into
-// all of its suffixes.
+// sequences are recovered when the profile is frozen, by adding each
+// recorded window's count to all of its suffixes in a per-procedure
+// suffix trie.
 package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"pathsched/internal/ir"
 )
@@ -34,7 +34,7 @@ const DefaultDepth = 15
 // branch-free chains cannot grow windows without bound.
 const DefaultMaxBlocks = 64
 
-// seqKey encodes a block sequence as a map key.
+// seqKey encodes a block sequence as a map key (the oracle's index).
 func seqKey(seq []ir.BlockID) string {
 	buf := make([]byte, 4*len(seq))
 	for i, b := range seq {
@@ -45,17 +45,6 @@ func seqKey(seq []ir.BlockID) string {
 		buf[4*i+3] = byte(v >> 24)
 	}
 	return string(buf)
-}
-
-// decodeSeqKey inverts seqKey.
-func decodeSeqKey(key string) []ir.BlockID {
-	seq := make([]ir.BlockID, len(key)/4)
-	for i := range seq {
-		v := uint32(key[4*i]) | uint32(key[4*i+1])<<8 |
-			uint32(key[4*i+2])<<16 | uint32(key[4*i+3])<<24
-		seq[i] = ir.BlockID(v)
-	}
-	return seq
 }
 
 // condBrMap precomputes, for one procedure, which blocks terminate in a
@@ -78,21 +67,4 @@ func FmtSeq(seq []ir.BlockID) string {
 		s += fmt.Sprintf("b%d", b)
 	}
 	return s
-}
-
-// argmax returns the entry with the largest count, breaking ties toward
-// the smallest block id so results never depend on map iteration order.
-func argmax(m map[ir.BlockID]int64) (ir.BlockID, int64) {
-	best, bestN := ir.NoBlock, int64(0)
-	keys := make([]ir.BlockID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if n := m[k]; n > bestN {
-			best, bestN = k, n
-		}
-	}
-	return best, bestN
 }

@@ -303,6 +303,38 @@ func TestOracleEquivalence(t *testing.T) {
 			}
 		}
 		pf := pp.Profile()
+		// succOK checks the successor queries against a brute-force
+		// scan of the oracle over every one-block extension seq·s.
+		succOK := func(seq []ir.BlockID) bool {
+			want := map[ir.BlockID]int64{}
+			best, bestN := ir.NoBlock, int64(0)
+			for s := 0; s < n; s++ {
+				f := op.Freq(0, append(append([]ir.BlockID{}, seq...), ir.BlockID(s)))
+				if f > 0 {
+					want[ir.BlockID(s)] = f
+				}
+				if f > bestN {
+					best, bestN = ir.BlockID(s), f
+				}
+			}
+			got := pf.SuccFreqs(0, seq)
+			if len(got) != len(want) {
+				t.Logf("seed %d: SuccFreqs(%s) = %v, oracle %v", seed, FmtSeq(seq), got, want)
+				return false
+			}
+			for s, f := range want {
+				if got[s] != f {
+					t.Logf("seed %d: SuccFreqs(%s) = %v, oracle %v", seed, FmtSeq(seq), got, want)
+					return false
+				}
+			}
+			if s, f := pf.MostLikelyPathSuccessor(0, seq); s != best || f != bestN {
+				t.Logf("seed %d: MostLikelyPathSuccessor(%s) = b%d/%d, oracle b%d/%d",
+					seed, FmtSeq(seq), s, f, best, bestN)
+				return false
+			}
+			return true
+		}
 		// Query every subsequence of every walk up to 6 blocks, plus
 		// random garbage sequences.
 		for _, w := range walks {
@@ -312,6 +344,9 @@ func TestOracleEquivalence(t *testing.T) {
 					if pf.Freq(0, seq) != op.Freq(0, seq) {
 						t.Logf("seed %d: Freq(%s) = %d, oracle %d",
 							seed, FmtSeq(seq), pf.Freq(0, seq), op.Freq(0, seq))
+						return false
+					}
+					if !succOK(seq) {
 						return false
 					}
 				}
@@ -326,6 +361,9 @@ func TestOracleEquivalence(t *testing.T) {
 			if pf.Freq(0, seq) != op.Freq(0, seq) {
 				t.Logf("seed %d: random Freq(%s) = %d, oracle %d",
 					seed, FmtSeq(seq), pf.Freq(0, seq), op.Freq(0, seq))
+				return false
+			}
+			if !succOK(seq) {
 				return false
 			}
 		}

@@ -21,7 +21,7 @@ import (
 //	edge b<i>->b<j>: <count>
 //
 // Path profiles serialize the distinct windows the profiler recorded
-// (not the derived suffix index, which is reconstructed on load):
+// (not the derived suffix trie, which is rebuilt on load):
 //
 //	pathprofile depth=<d> maxblocks=<m> [crossact=1]
 //	proc <id>
@@ -57,6 +57,13 @@ func (e *EdgeProfile) WriteText() string {
 	}
 	return sb.String()
 }
+
+// maxParsedBlock bounds the block ids ParseEdgeProfile accepts (ids
+// must be below it). Edge
+// profiles are dense by block id and the text carries no program to
+// size them, so an unbounded id would let one hostile line ("block
+// b100000000: 1") allocate gigabytes.
+const maxParsedBlock = 1 << 16
 
 // ParseEdgeProfile reads the text form back. nprocs sizes the profile
 // (use len(prog.Procs)).
@@ -97,8 +104,8 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "block b%d: %d", &b, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if b < 0 {
-				return nil, fmt.Errorf("profile: line %d: negative block id", no+2)
+			if b < 0 || b >= maxParsedBlock {
+				return nil, fmt.Errorf("profile: line %d: block id b%d out of range", no+2, b)
 			}
 			cur.addBlock(b, n)
 		case strings.HasPrefix(line, "edge "):
@@ -110,8 +117,8 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "edge b%d->b%d: %d", &f, &t, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if f < 0 || t < 0 {
-				return nil, fmt.Errorf("profile: line %d: negative block id", no+2)
+			if f < 0 || t < 0 || f >= maxParsedBlock || t >= maxParsedBlock {
+				return nil, fmt.Errorf("profile: line %d: block id out of range", no+2)
 			}
 			cur.addEdge(f, t, n)
 		default:
@@ -134,8 +141,7 @@ func (pp *PathProfiler) WriteText() string {
 			continue
 		}
 		fmt.Fprintf(&sb, "proc %d\n", pid)
-		for _, kn := range st.sortedNodes() {
-			nd := kn.nd
+		for _, nd := range st.sortedNodes() {
 			if nd.count == 0 {
 				continue
 			}
@@ -174,13 +180,13 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 		switch {
 		case strings.HasPrefix(f, "depth="):
 			v, err := strconv.Atoi(f[len("depth="):])
-			if err != nil {
+			if err != nil || v < 0 {
 				return nil, fmt.Errorf("profile: bad depth %q", f)
 			}
 			cfg.Depth = v
 		case strings.HasPrefix(f, "maxblocks="):
 			v, err := strconv.Atoi(f[len("maxblocks="):])
-			if err != nil {
+			if err != nil || v < 0 {
 				return nil, fmt.Errorf("profile: bad maxblocks %q", f)
 			}
 			cfg.MaxBlocks = v
@@ -217,13 +223,14 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			if err != nil || count < 0 {
 				return nil, fmt.Errorf("profile: line %d: bad count", no+2)
 			}
+			st := pp.procs[curProc]
 			var seq []ir.BlockID
 			for _, f := range strings.Fields(rest[colon+1:]) {
 				if !strings.HasPrefix(f, "b") {
 					return nil, fmt.Errorf("profile: line %d: bad block %q", no+2, f)
 				}
 				v, err := strconv.ParseInt(f[1:], 10, 32)
-				if err != nil {
+				if err != nil || v < 0 || v >= int64(st.nblocks) {
 					return nil, fmt.Errorf("profile: line %d: bad block %q", no+2, f)
 				}
 				seq = append(seq, ir.BlockID(v))
@@ -231,9 +238,17 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			if len(seq) == 0 {
 				return nil, fmt.Errorf("profile: line %d: empty path", no+2)
 			}
-			st := pp.procs[curProc]
-			nd := st.internNode(seq)
-			nd.count += count
+			// The profiler never records a window longer than maxblocks,
+			// and the bound keeps the frozen trie (one node per distinct
+			// substring of a window) proportional to the text.
+			if len(seq) > pp.cfg.MaxBlocks {
+				return nil, fmt.Errorf("profile: line %d: path longer than maxblocks=%d", no+2, pp.cfg.MaxBlocks)
+			}
+			// A window that never ran records nothing; interning it
+			// would print a proc header with no paths under it.
+			if count > 0 {
+				st.internNode(seq).count += count
+			}
 		default:
 			return nil, fmt.Errorf("profile: line %d: unrecognized %q", no+2, line)
 		}

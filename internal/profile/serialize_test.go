@@ -1,7 +1,10 @@
 package profile
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -149,6 +152,9 @@ func TestProfileParseErrors(t *testing.T) {
 		"edgeprofile\nproc 99 entries=1\n",
 		"edgeprofile\nproc 0 entries=x\n",
 		"edgeprofile\nproc 0 entries=1\nnonsense\n",
+		"edgeprofile\nproc 0 entries=1\nblock b-1: 1\n",
+		"edgeprofile\nproc 0 entries=1\nblock b100000000: 1\n",
+		"edgeprofile\nproc 0 entries=1\nedge b0->b100000000: 1\n",
 	}
 	for _, text := range edgeCases {
 		if _, err := ParseEdgeProfile(1, text); err == nil {
@@ -163,10 +169,75 @@ func TestProfileParseErrors(t *testing.T) {
 		"pathprofile depth=4 maxblocks=8\nproc 0\npath x: b0\n",
 		"pathprofile depth=4 maxblocks=8\nproc 0\npath 5:\n",
 		"pathprofile depth=4 maxblocks=8\nproc 7\n",
+		"pathprofile depth=-1\n",
+		"pathprofile maxblocks=-3\n",
+		"pathprofile depth=4 maxblocks=8\nproc 0\npath 1: b99\n",
+		"pathprofile depth=4 maxblocks=8\nproc 0\npath 1: b-1\n",
+		"pathprofile depth=4 maxblocks=2\nproc 0\npath 1: b0 b1 b0\n", // longer than maxblocks
 	}
 	for _, text := range pathCases {
 		if _, err := ParsePathProfile(prog, text); err == nil {
 			t.Errorf("path parse accepted %q", text)
+		}
+	}
+}
+
+// A hostile block id must be rejected before it sizes anything: edge
+// profiles are dense by block id, and one line naming block 1e8 used to
+// grow every per-block slice to 1e8 entries.
+func TestParseEdgeProfileBoundsBlockIDs(t *testing.T) {
+	for _, text := range []string{
+		"edgeprofile\nproc 0 entries=1\nblock b100000000: 1\n",
+		"edgeprofile\nproc 0 entries=1\nedge b100000000->b0: 1\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseEdgeProfile(1, text)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("parse accepted %q", text)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("parsing %q allocated %d bytes", text, d)
+		}
+	}
+}
+
+// WriteText lists windows in the byte order of their 4-byte
+// little-endian encodings (the order a string-keyed table sorted them
+// in); ids of 256 and up make that differ from numeric order, and the
+// order must not drift.
+func TestPathTextOrderIsEncodingOrder(t *testing.T) {
+	branchy := make([]bool, 600)
+	prog := chainProg(branchy)
+	pp := NewPathProfiler(prog, PathConfig{Depth: 3, MaxBlocks: 3})
+	rng := rand.New(rand.NewSource(3))
+	for a := 0; a < 40; a++ {
+		b := ir.BlockID(rng.Intn(len(branchy) - 3))
+		feedWalk(pp, []ir.BlockID{b, b + 1, b + 2})
+	}
+	var got []string
+	for _, line := range strings.Split(pp.WriteText(), "\n") {
+		if strings.HasPrefix(line, "path ") {
+			got = append(got, line[strings.IndexByte(line, ':')+1:])
+		}
+	}
+	type keyed struct{ key, line string }
+	var want []keyed
+	for _, nd := range pp.procs[0].nodesList {
+		line := ""
+		for _, b := range nd.seq {
+			line += fmt.Sprintf(" b%d", b)
+		}
+		want = append(want, keyed{seqKey(nd.seq), line})
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].key < want[j].key })
+	if len(got) != len(want) {
+		t.Fatalf("%d path lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i].line {
+			t.Fatalf("line %d: path%s, want path%s", i, got[i], want[i].line)
 		}
 	}
 }
