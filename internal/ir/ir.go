@@ -53,6 +53,13 @@ type BlockID int32
 // NoBlock is the nil block id.
 const NoBlock BlockID = -1
 
+// MaxBlocks bounds the blocks of one procedure, so every block id lies
+// in [0, MaxBlocks). Profiles are dense by block id and their text
+// forms carry no program to size them from; their parsers reject ids
+// at or above this bound, and Verify keeps every checked program's
+// profile within it.
+const MaxBlocks = 1 << 16
+
 // ProcID identifies a procedure within a program.
 type ProcID int32
 

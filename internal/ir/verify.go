@@ -7,8 +7,8 @@ import (
 
 // Verify checks structural invariants of a program:
 //
-//   - every procedure has at least one block and every block at least
-//     one instruction;
+//   - every procedure has at least one and at most MaxBlocks blocks,
+//     and every block at least one instruction;
 //   - exactly the last instruction of each block is a terminator;
 //   - branch targets and call continuations name existing blocks;
 //   - OpBr has exactly two targets, OpJmp and OpCall exactly one,
@@ -44,6 +44,9 @@ func Verify(prog *Program) error {
 func verifyProc(prog *Program, p *Proc) error {
 	if len(p.Blocks) == 0 {
 		return errors.New("no blocks")
+	}
+	if len(p.Blocks) > MaxBlocks {
+		return fmt.Errorf("%d blocks exceeds max %d", len(p.Blocks), MaxBlocks)
 	}
 	seen := make(map[BlockID]int, len(p.Blocks))
 	for i, b := range p.Blocks {

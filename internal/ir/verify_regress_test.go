@@ -17,6 +17,25 @@ func TestVerifyDuplicateBlockID(t *testing.T) {
 	}
 }
 
+// A procedure may have up to MaxBlocks blocks: profile parsers bound
+// block ids by it, so a checked program's profiles always parse back.
+func TestVerifyMaxBlocks(t *testing.T) {
+	mk := func(n int) *Program {
+		p := &Proc{Name: "main"}
+		for i := 0; i < n; i++ {
+			p.Blocks = append(p.Blocks, &Block{ID: BlockID(i), Origin: BlockID(i), Instrs: []Instr{Jmp(BlockID((i + 1) % n))}})
+		}
+		return &Program{Procs: []*Proc{p}}
+	}
+	if err := Verify(mk(MaxBlocks)); err != nil {
+		t.Fatalf("procedure of MaxBlocks blocks rejected: %v", err)
+	}
+	err := Verify(mk(MaxBlocks + 1))
+	if err == nil || !strings.Contains(err.Error(), "exceeds max") {
+		t.Fatalf("procedure of MaxBlocks+1 blocks not rejected: %v", err)
+	}
+}
+
 // Regression: a call argument register below zero indexed the frame
 // out of bounds in the interpreter instead of failing verification.
 func TestVerifyNegativeArgRegister(t *testing.T) {

@@ -671,7 +671,7 @@ func (bl *BLProfiler) Profile() *PathProfile {
 				}
 			}
 		}
-		out.procs[i] = t.x
+		out.procs[i] = t.done()
 	}
 	return out
 }

@@ -472,7 +472,7 @@ func (pp *PathProfiler) Profile() *PathProfile {
 		for _, nd := range st.nodesList {
 			t.add(nd.seq, nd.count)
 		}
-		out.procs[i] = t.x
+		out.procs[i] = t.done()
 	}
 	return out
 }

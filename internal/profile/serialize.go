@@ -58,15 +58,11 @@ func (e *EdgeProfile) WriteText() string {
 	return sb.String()
 }
 
-// maxParsedBlock bounds the block ids ParseEdgeProfile accepts (ids
-// must be below it). Edge
-// profiles are dense by block id and the text carries no program to
-// size them, so an unbounded id would let one hostile line ("block
-// b100000000: 1") allocate gigabytes.
-const maxParsedBlock = 1 << 16
-
 // ParseEdgeProfile reads the text form back. nprocs sizes the profile
-// (use len(prog.Procs)).
+// (use len(prog.Procs)). Block ids must lie below ir.MaxBlocks: the
+// text carries no program to size the dense per-block counts from, so
+// an unbounded id would let one hostile line ("block b100000000: 1")
+// allocate gigabytes.
 func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 	ep := NewEdgeProfiler(&ir.Program{Procs: make([]*ir.Proc, nprocs)})
 	var cur *procEdges
@@ -104,7 +100,7 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "block b%d: %d", &b, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if b < 0 || b >= maxParsedBlock {
+			if b < 0 || b >= ir.MaxBlocks {
 				return nil, fmt.Errorf("profile: line %d: block id b%d out of range", no+2, b)
 			}
 			cur.addBlock(b, n)
@@ -117,7 +113,7 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "edge b%d->b%d: %d", &f, &t, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if f < 0 || t < 0 || f >= maxParsedBlock || t >= maxParsedBlock {
+			if f < 0 || t < 0 || f >= ir.MaxBlocks || t >= ir.MaxBlocks {
 				return nil, fmt.Errorf("profile: line %d: block id out of range", no+2)
 			}
 			cur.addEdge(f, t, n)

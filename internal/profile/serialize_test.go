@@ -203,6 +203,28 @@ func TestParseEdgeProfileBoundsBlockIDs(t *testing.T) {
 	}
 }
 
+// The parser's block-id bound is the one ir.Verify puts on programs,
+// so the edge profile of the largest valid procedure round-trips.
+func TestEdgeProfileRoundTripAtBlockBound(t *testing.T) {
+	prog := chainProg(make([]bool, ir.MaxBlocks))
+	if err := ir.Verify(prog); err != nil {
+		t.Fatalf("procedure of ir.MaxBlocks blocks rejected: %v", err)
+	}
+	ep := NewEdgeProfiler(prog)
+	feedWalk(ep, []ir.BlockID{ir.MaxBlocks - 3, ir.MaxBlocks - 2, ir.MaxBlocks - 1, 0})
+	text := ep.Profile().WriteText()
+	if !strings.Contains(text, fmt.Sprintf("edge b%d->b0: 1", ir.MaxBlocks-1)) {
+		t.Fatalf("profile lacks the edge out of the last block:\n%s", text)
+	}
+	back, err := ParseEdgeProfile(len(prog.Procs), text)
+	if err != nil {
+		t.Fatalf("ParseEdgeProfile: %v\n%s", err, text)
+	}
+	if got := back.WriteText(); got != text {
+		t.Fatalf("round trip changed the text:\n%s\nwant:\n%s", got, text)
+	}
+}
+
 // WriteText lists windows in the byte order of their 4-byte
 // little-endian encodings (the order a string-keyed table sorted them
 // in); ids of 256 and up make that differ from numeric order, and the

@@ -1,7 +1,6 @@
 package profile_test
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,8 +11,6 @@ import (
 	"pathsched/internal/ir"
 	"pathsched/internal/profile"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata goldens from the current code")
 
 // trainWindow runs one benchmark's training input under the batched
 // window profiler, as profile.Train does, and returns the program with
@@ -32,23 +29,18 @@ func trainWindow(t testing.TB, name string, cfg profile.PathConfig) (*ir.Program
 // The serialized path profile of a real training run is pinned byte
 // for byte: line order is part of the format (diffs and cache keys
 // over profile text depend on it), so a change to how windows are
-// sorted or frozen must not move a single line. Regenerate with
-// go test ./internal/profile -run TestPathProfileTextGolden -update.
+// sorted or frozen must not move a single line. A deliberate format
+// change edits the golden in its own diff.
 func TestPathProfileTextGolden(t *testing.T) {
 	_, pp := trainWindow(t, "alt", profile.PathConfig{})
 	got := pp.WriteText()
 	path := filepath.Join("testdata", "alt.pathprofile")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Fatalf("alt path profile text drifted from %s (rerun with -update only if the change is deliberate)", path)
+		t.Fatalf("alt path profile text drifted from %s", path)
 	}
 }
 
