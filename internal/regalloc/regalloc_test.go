@@ -1,6 +1,11 @@
 package regalloc
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +229,262 @@ func TestAssignPropertyDataflowPreserved(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// assignVirtualsOracle is the original map-and-sort linear scan, kept
+// verbatim as the differential oracle for AssignVirtuals: interval ends
+// and assignments in maps, a rescan of every live interval per
+// instruction, and a sort of the free list per def.
+func assignVirtualsOracle(b *ir.Block, pool []ir.Reg) error {
+	// Interval ends: last position reading each virtual.
+	lastUse := map[ir.Reg]int{}
+	var buf []ir.Reg
+	for i := range b.Instrs {
+		buf = b.Instrs[i].Uses(buf[:0])
+		for _, u := range buf {
+			if u.IsVirtual() {
+				lastUse[u] = i
+			}
+		}
+	}
+
+	free := append([]ir.Reg(nil), pool...)
+	assign := map[ir.Reg]ir.Reg{}
+	type active struct {
+		virt ir.Reg
+		end  int
+	}
+	var live []active
+
+	expire := func(pos int) {
+		kept := live[:0]
+		for _, a := range live {
+			if a.end < pos {
+				free = append(free, assign[a.virt])
+			} else {
+				kept = append(kept, a)
+			}
+		}
+		live = kept
+	}
+
+	rewrite := func(r *ir.Reg) {
+		if r.IsVirtual() {
+			if phys, ok := assign[*r]; ok {
+				*r = phys
+			}
+		}
+	}
+
+	for i := range b.Instrs {
+		expire(i)
+		ins := &b.Instrs[i]
+		// Uses first (they read values defined earlier).
+		rewrite(&ins.Src1)
+		rewrite(&ins.Src2)
+		for ai := range ins.Args {
+			rewrite(&ins.Args[ai])
+		}
+		// Then the def.
+		if ins.HasDst() && ins.Dst.IsVirtual() {
+			v := ins.Dst
+			if _, dup := assign[v]; dup {
+				return fmt.Errorf("regalloc: virtual %v defined twice", v)
+			}
+			if len(free) == 0 {
+				return fmt.Errorf("regalloc: out of registers at instruction %d (pool %d)", i, len(pool))
+			}
+			// Deterministic choice: smallest-numbered free register.
+			sort.Slice(free, func(a, b int) bool { return free[a] < free[b] })
+			phys := free[0]
+			free = free[1:]
+			assign[v] = phys
+			end, used := lastUse[v]
+			if !used || end < i {
+				end = i // dead def: release immediately on next expire
+			}
+			live = append(live, active{virt: v, end: end})
+			ins.Dst = phys
+		}
+	}
+
+	// Nothing virtual may survive.
+	for i := range b.Instrs {
+		ins := &b.Instrs[i]
+		if ins.Dst.IsVirtual() || ins.Src1.IsVirtual() || ins.Src2.IsVirtual() {
+			return fmt.Errorf("regalloc: unresolved virtual in %v", *ins)
+		}
+		for _, a := range ins.Args {
+			if a.IsVirtual() {
+				return fmt.Errorf("regalloc: unresolved virtual arg in %v", *ins)
+			}
+		}
+	}
+	return nil
+}
+
+// randAllocBlock builds a random renamed-looking block for the
+// differential test: virtuals numbered from a random base with gaps,
+// physical operands mixed in, loads, stores, emits and calls with
+// argument lists, dead defs, and — at low rates — a use before any
+// def and a second def of one virtual. The pool is a shuffled random
+// subset of the physical file, sometimes too small for the pressure.
+func randAllocBlock(rng *rand.Rand) (*ir.Block, []ir.Reg) {
+	base := ir.VirtBase
+	if rng.Intn(2) == 0 {
+		base += ir.Reg(rng.Intn(5000))
+	}
+	nextVirt := base
+	var defined []ir.Reg
+	src := func() ir.Reg {
+		switch k := rng.Intn(40); {
+		case k == 0:
+			return nextVirt + ir.Reg(rng.Intn(3)) // not (yet) defined
+		case k < 10 || len(defined) == 0:
+			return ir.Reg(rng.Intn(ir.PhysRegs))
+		case k < 25:
+			// Recent defs keep most intervals short.
+			return defined[len(defined)-1-rng.Intn(min(len(defined), 4))]
+		default:
+			return defined[rng.Intn(len(defined))]
+		}
+	}
+	dst := func() ir.Reg {
+		switch k := rng.Intn(60); {
+		case k == 0 && len(defined) > 0:
+			return defined[rng.Intn(len(defined))] // double def
+		case k < 8:
+			return ir.Reg(rng.Intn(ir.PhysRegs))
+		default:
+			nextVirt += 1 + ir.Reg(rng.Intn(2)) // gaps in the numbering
+			defined = append(defined, nextVirt)
+			return nextVirt
+		}
+	}
+	n := 1 + rng.Intn(60)
+	instrs := make([]ir.Instr, 0, n+1)
+	for i := 0; i < n; i++ {
+		var ins ir.Instr
+		switch rng.Intn(8) {
+		case 0:
+			ins = ir.MovI(0, int64(i))
+		case 1:
+			ins = ir.Load(0, src(), int64(rng.Intn(8)))
+		case 2:
+			ins = ir.Store(src(), int64(rng.Intn(8)), src())
+		case 3:
+			ins = ir.Emit(src())
+		case 4:
+			args := make([]ir.Reg, rng.Intn(5))
+			for k := range args {
+				args[k] = src()
+			}
+			ins = ir.Call(0, 0, ir.NoBlock, args...)
+		case 5:
+			ins = ir.AddI(0, src(), 1)
+		default:
+			ins = ir.Add(0, src(), src())
+		}
+		if ins.HasDst() {
+			ins.Dst = dst()
+		}
+		instrs = append(instrs, ins)
+	}
+	instrs = append(instrs, ir.Ret(src()))
+
+	perm := rng.Perm(ir.PhysRegs)
+	pool := make([]ir.Reg, rng.Intn(24))
+	for k := range pool {
+		pool[k] = ir.Reg(perm[k])
+	}
+	return &ir.Block{Instrs: instrs}, pool
+}
+
+// cloneInstrs deep-copies instructions, argument lists included, so
+// two allocators can rewrite the same block independently.
+func cloneInstrs(in []ir.Instr) []ir.Instr {
+	out := append([]ir.Instr(nil), in...)
+	for i := range out {
+		if out[i].Args != nil {
+			out[i].Args = append([]ir.Reg(nil), out[i].Args...)
+		}
+	}
+	return out
+}
+
+// TestAssignVirtualsMatchesOracle is the differential test: on seeded
+// random blocks the linear-time allocator must leave exactly the
+// instructions the map-and-sort oracle leaves, and fail with exactly
+// its error, including partial rewrites when allocation stops early.
+// Every outcome class must occur, so the generator keeps reaching the
+// pressure, double-def and unresolved-virtual paths.
+func TestAssignVirtualsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	outcomes := map[string]int{}
+	for trial := 0; trial < 5000; trial++ {
+		blk, pool := randAllocBlock(rng)
+		orig := cloneInstrs(blk.Instrs)
+		want := &ir.Block{Instrs: cloneInstrs(orig)}
+		got := &ir.Block{Instrs: cloneInstrs(orig)}
+		wantErr := assignVirtualsOracle(want, append([]ir.Reg(nil), pool...))
+		gotErr := AssignVirtuals(got, pool)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: error %v, oracle %v\npool %v\nblock %v", trial, gotErr, wantErr, pool, orig)
+		}
+		if !reflect.DeepEqual(got.Instrs, want.Instrs) {
+			t.Fatalf("trial %d: instructions differ from oracle\npool %v\nblock  %v\ngot    %v\noracle %v",
+				trial, pool, orig, got.Instrs, want.Instrs)
+		}
+		switch msg := fmt.Sprint(wantErr); {
+		case wantErr == nil:
+			outcomes["ok"]++
+		case strings.Contains(msg, "out of registers"):
+			outcomes["pressure"]++
+		case strings.Contains(msg, "defined twice"):
+			outcomes["double def"]++
+		default:
+			outcomes["unresolved"]++
+		}
+	}
+	for _, class := range []string{"ok", "pressure", "double def", "unresolved"} {
+		if outcomes[class] == 0 {
+			t.Errorf("no trial reached outcome %q: %v", class, outcomes)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
+}
+
+// chainBlock is an n-instruction renamed block with bounded pressure:
+// each virtual is read by the next two instructions and then dies.
+func chainBlock(n int) *ir.Block {
+	instrs := []ir.Instr{ir.MovI(v(0), 1), ir.MovI(v(1), 2)}
+	for i := int32(2); len(instrs) < n-1; i++ {
+		instrs = append(instrs, ir.Add(v(i), v(i-1), v(i-2)))
+	}
+	instrs = append(instrs, ir.Store(0, 0, v(int32(len(instrs)-1))), ir.Ret(0))
+	return &ir.Block{Instrs: instrs}
+}
+
+// TestAssignVirtualsAllocsConstant pins the allocator's linear,
+// map-free shape with a deterministic work counter instead of a timer:
+// one AssignVirtuals call makes the same small number of allocations
+// for a 40- and a 400-instruction block.
+func TestAssignVirtualsAllocsConstant(t *testing.T) {
+	pool := []ir.Reg{8, 9, 10, 11}
+	allocs := func(n int) float64 {
+		src := chainBlock(n)
+		b := &ir.Block{Instrs: make([]ir.Instr, len(src.Instrs))}
+		return testing.AllocsPerRun(50, func() {
+			copy(b.Instrs, src.Instrs)
+			if err := AssignVirtuals(b, pool); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(40), allocs(400)
+	t.Logf("allocations per call: %v at 40 instructions, %v at 400", small, large)
+	if small != large || large > 2 {
+		t.Fatalf("allocations per call: %v at 40 instructions, %v at 400; want one small constant", small, large)
 	}
 }

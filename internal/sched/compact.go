@@ -225,10 +225,10 @@ func forEachProc(n, parallelism int, fn func(int, *scratch)) {
 func CompactBasicBlocks(prog *ir.Program, opts Options) error {
 	res := &core.Result{Prog: prog, Superblocks: map[ir.ProcID][]*core.Superblock{}}
 	for _, p := range prog.Procs {
-		g := ir.NewCFG(p)
+		live := reachable(p)
 		var sbs []*core.Superblock
 		for _, b := range p.Blocks {
-			if !g.Reachable(b.ID) {
+			if !live[b.ID] {
 				continue
 			}
 			sbs = append(sbs, &core.Superblock{
@@ -514,11 +514,11 @@ func install(p *ir.Proc, head *ir.Block, sb *core.Superblock, nodes []node, cycl
 // renumbers the survivors, rewriting every branch target and the
 // superblock lists. The entry block keeps id 0.
 func removeDeadBlocks(p *ir.Proc, sbs []*core.Superblock) error {
-	g := ir.NewCFG(p)
+	live := reachable(p)
 	remap := make([]ir.BlockID, len(p.Blocks))
 	var kept []*ir.Block
 	for _, b := range p.Blocks {
-		if g.Reachable(b.ID) {
+		if live[b.ID] {
 			remap[b.ID] = ir.BlockID(len(kept))
 			kept = append(kept, b)
 		} else {
@@ -554,4 +554,28 @@ func removeDeadBlocks(p *ir.Proc, sbs []*core.Superblock) error {
 		}
 	}
 	return nil
+}
+
+// reachable marks the blocks reachable from the entry along branch
+// targets, mid-block exits included. It is the only CFG query the
+// block bookkeeping above makes, so it walks targets directly instead
+// of building an ir.CFG with its dominators and back edges.
+func reachable(p *ir.Proc) []bool {
+	seen := make([]bool, len(p.Blocks))
+	entry := p.Entry().ID
+	seen[entry] = true
+	stack := []ir.BlockID{entry}
+	for len(stack) > 0 {
+		b := p.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		for i := range b.Instrs {
+			for _, t := range b.Instrs[i].Targets {
+				if t != ir.NoBlock && !seen[t] {
+					seen[t] = true
+					stack = append(stack, t)
+				}
+			}
+		}
+	}
+	return seen
 }
